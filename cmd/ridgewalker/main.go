@@ -64,7 +64,7 @@ func run() error {
 	noSched := flag.Bool("no-sched", false, "disable the zero-bubble scheduler (ablation)")
 	workers := flag.Int("workers", 0, "cpu backend worker-pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "cpu-sharded/cpu-pipelined partition count (0 = backend default)")
-	cohort := flag.Int("cohort", 0, "cpu-pipelined in-flight walkers per worker (0 = backend default)")
+	cohort := flag.Int("cohort", 0, "cpu-pipelined/cpu-sharded in-flight walkers per worker (0 = backend default)")
 	hubCache := flag.Int64("hubcache", 0, "cpu-pipelined hub-arena byte budget (0 = off; e.g. 8388608 for 8 MiB)")
 	memBudget := flag.String("membudget", "", "cpu backends' tiered-memory hot budget in bytes, or 'auto' (empty = flat stores)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -120,7 +120,7 @@ func run() error {
 				return err
 			}
 			mark := ""
-			if ridgewalker.BackendSupportsMemoryTiering(name) {
+			if ridgewalker.BackendIsCPUFamily(name) {
 				mark = "  [tiered-mem]"
 			}
 			if name == "auto" {

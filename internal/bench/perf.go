@@ -189,9 +189,9 @@ var perfConfigs = []struct {
 	{backend: "cpu", hub: true, tiered: true},
 	{backend: "cpu-sharded"},
 	{backend: "cpu-sharded", shards: 4},
-	{backend: "cpu-pipelined", cohort: exec.DefaultCohort},
-	{backend: "cpu-pipelined", cohort: exec.DefaultCohort, shards: 2},
-	{backend: "cpu-pipelined", cohort: exec.DefaultCohort, shards: 4},
+	{backend: "cpu-pipelined", cohort: walk.DefaultCohort},
+	{backend: "cpu-pipelined", cohort: walk.DefaultCohort, shards: 2},
+	{backend: "cpu-pipelined", cohort: walk.DefaultCohort, shards: 4},
 }
 
 // perfProcs returns the GOMAXPROCS sweep: the configured list, or

@@ -28,22 +28,10 @@ func (autoBackend) Description() string {
 	return "planner-selected CPU engine: graph stats + calibration pick backend/cohort/shards (see -explain-plan)"
 }
 
-// MergesBatches implements BatchMerger: every engine the planner can
-// choose is in the CPU family, whose per-query RNG streams make walks
-// independent of batch composition.
+// MergesBatches implements CPUFamily: every engine the planner can
+// choose is in the CPU family, and the budget and snapshot pass through
+// to it unchanged.
 func (autoBackend) MergesBatches() bool { return true }
-
-// SupportsMemoryTiering implements MemoryTierer: the budget passes
-// through to the chosen engine unchanged (all candidates honor it).
-func (autoBackend) SupportsMemoryTiering() bool { return true }
-
-// SupportsVersionedGraphs implements VersionedGrapher: all candidate
-// engines serve epoch snapshots.
-func (autoBackend) SupportsVersionedGraphs() bool { return true }
-
-// Heartbeats implements Heartbeater: every engine the planner can choose
-// is in the CPU family, all of which bump Batch.Heartbeat.
-func (autoBackend) Heartbeats() bool { return true }
 
 func (autoBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if err := cfg.Walk.Validate(g); err != nil {

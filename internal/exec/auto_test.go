@@ -119,9 +119,6 @@ func TestAutoRespectsMemoryBudget(t *testing.T) {
 // and the backend itself must declare the cpu-family capabilities its
 // delegates hold.
 func TestAutoSessionCapabilities(t *testing.T) {
-	if !MergesBatches("auto") || !SupportsMemoryTiering("auto") || !SupportsVersionedGraphs("auto") {
-		t.Fatal("auto must declare the cpu-family capabilities")
-	}
 	g := testGraph(t)
 	cfg, _ := testWorkload(t, g, walk.DeepWalk, 10)
 	ses, err := Open("auto", g, Config{Walk: cfg})

@@ -4,6 +4,13 @@
 // systems — is exposed behind one Backend interface and selected by a
 // string key.
 //
+// The CPU backends (cpu, cpu-pipelined, cpu-sharded) share one Session
+// implementation, cpuSession: it owns locking, fault injection, path
+// copies, streaming and the borrowed sampler and tier stores, and each
+// backend supplies only a run function over its engine. Backends declare
+// a single optional capability, CPUFamily, which the serving layer keys
+// batch merging, heartbeats, memory tiering and snapshots on.
+//
 // The layer has three concepts:
 //
 //   - A Backend is a named engine factory. Open binds it to a graph and a
@@ -19,7 +26,8 @@
 //     internal/bench figure drivers — select engines by name only.
 //
 // Sessions are safe for concurrent use: calls on one Session are
-// serialized internally, so a service layer can cache and share them.
+// serialized internally (the sharded engine runs them concurrently), so
+// a service layer can cache and share them.
 package exec
 
 import (
@@ -53,22 +61,22 @@ type Config struct {
 	Workers int
 
 	// Shards sets the cpu-sharded backend's partition count: the graph is
-	// split into this many edge-balanced shards, each owning a worker pool,
-	// with walkers migrating between shards on boundary crossings. 0 means
-	// a backend-chosen default (GOMAXPROCS capped at 8). The cpu-pipelined
-	// backend also honors it: Shards > 0 composes the cohort pipeline with
-	// the sharded engine (per-shard workers run the pipelined stepper).
-	// Other backends ignore it.
+	// split into this many edge-balanced shards, each owning a worker pool
+	// of cohort pipelines, with walkers migrating between shards on
+	// boundary crossings. 0 means a backend-chosen default (GOMAXPROCS
+	// capped at 8). The cpu-pipelined backend also honors it: Shards > 0
+	// opens the same sharded composition. Other backends ignore it.
 	Shards int
 
-	// Cohort sets the cpu-pipelined backend's in-flight walker count per
-	// worker: each worker advances that many walks together through the
-	// batched Gather/Sample/Move stages, overlapping CSR row fetches across
-	// walks. 0 means the backend default (64). Other backends ignore it.
+	// Cohort sets the cpu-pipelined and cpu-sharded backends' in-flight
+	// walker count per worker: each worker advances that many walks
+	// together through the batched Gather/Sample/Move stages, overlapping
+	// CSR row fetches across walks. 0 means walk.DefaultCohort. Other
+	// backends ignore it.
 	Cohort int
 
 	// HubCacheBytes, when positive, sizes the degree-aware hub arena the
-	// cpu-pipelined backend builds over the graph: the highest-degree
+	// cpu-pipelined and cpu-sharded backends build over the graph: the highest-degree
 	// rows are copied, hub-first and cache-line aligned, into one compact
 	// block served to the cohort Gather stage (graph.Layout), so the hot
 	// rows of a power-law walk live in a cache-resident arena instead of
@@ -94,8 +102,8 @@ type Config struct {
 	// any budget. Negative pins nothing — an all-cold store (tests,
 	// worst-case footprint measurement). 0 (the default) keeps the flat
 	// stores. Use graph.AutoMemoryBudget for a fit-the-hubs default.
-	// Mutually exclusive with HubCacheBytes on cpu-pipelined (the hot
-	// arena subsumes the hub cache). Simulator and analytic backends
+	// Mutually exclusive with HubCacheBytes on the cohort backends (the
+	// hot arena subsumes the hub cache). Simulator and analytic backends
 	// ignore it.
 	MemoryBudgetBytes int64
 
@@ -109,9 +117,8 @@ type Config struct {
 	// — so opening against a snapshot costs O(dirty edges), not O(E).
 	// Under a memory budget the graph tier gets the whole budget (tiered
 	// alias rows cannot be incrementally rebuilt; draws are identical
-	// either way). Only the CPU backends support snapshots
-	// (SupportsVersionedGraphs); the simulator and analytic backends
-	// reject them.
+	// either way). Only the CPU-family backends support snapshots
+	// (IsCPUFamily); the simulator and analytic backends reject them.
 	Snapshot *graph.Snapshot
 
 	// DiscardPaths drops per-query paths from Run results (throughput
@@ -155,10 +162,10 @@ func (c Config) platform(def hbm.Platform) hbm.Platform {
 type Batch struct {
 	Queries []walk.Query
 
-	// Heartbeat, when non-nil, is incremented by heartbeat-capable
-	// sessions (SupportsHeartbeats) at their cooperative-stop
-	// checkpoints — every 64 walks on the flat engine, every cohort
-	// pass on the pipeline, every finished walk on the sharded engine.
+	// Heartbeat, when non-nil, is incremented by CPU-family sessions
+	// (IsCPUFamily) at their cooperative-stop checkpoints — every 64
+	// walks on the flat engine, every cohort pass on the pipeline, every
+	// finished walk on the sharded engine.
 	// Serving-layer watchdogs watch the counter to tell a slow batch
 	// from a wedged one; sessions without the capability ignore it.
 	Heartbeat *atomic.Int64
@@ -236,85 +243,34 @@ type SamplerSizer interface {
 	SamplerBytes() int64
 }
 
-// BatchMerger is an optional Backend capability: backends whose walks
-// depend only on (seed, query ID, start vertex) — never on batch
-// composition — implement it (returning true) to let serving layers
-// coalesce concurrent requests into one Session.Run dispatch. Backends
-// without the capability (simulators routing walks through shared
-// pipelines, models requiring unique query IDs per batch) are dispatched
-// per request.
-type BatchMerger interface {
+// CPUFamily is the one optional Backend capability. A backend declares
+// it (MergesBatches returning true) when its walks run on the software
+// engines and depend only on (seed, query ID, start vertex) — cpu,
+// cpu-pipelined, cpu-sharded, and auto, which always opens one of them.
+// Everything the layers above key on follows from that:
+//
+//   - a serving layer may coalesce concurrent requests into one
+//     Session.Run, since batch composition cannot change a walk;
+//   - sessions bump Batch.Heartbeat at their cooperative-stop
+//     checkpoints, so a watchdog may treat a flat heartbeat as wedged;
+//   - Open honors Config.MemoryBudgetBytes and Config.Snapshot.
+//
+// Backends without it (simulators routing walks through shared
+// pipelines, models requiring unique query IDs per batch) are
+// dispatched per request, never watchdog-killed, and reject snapshots.
+type CPUFamily interface {
 	MergesBatches() bool
 }
 
-// MergesBatches reports whether the named backend declares the
-// batch-merge capability. Unknown names report false.
-func MergesBatches(name string) bool {
+// IsCPUFamily reports whether the named backend declares the CPUFamily
+// capability. Unknown names report false.
+func IsCPUFamily(name string) bool {
 	b, err := Lookup(name)
 	if err != nil {
 		return false
 	}
-	m, ok := b.(BatchMerger)
-	return ok && m.MergesBatches()
-}
-
-// Heartbeater is an optional Backend capability: backends whose sessions
-// bump Batch.Heartbeat at cooperative-stop checkpoints implement it
-// (returning true), which is what licenses a serving-layer watchdog to
-// treat a flat heartbeat as "wedged" and cancel the batch. Backends
-// without the capability (simulators, analytic models) are never
-// watchdog-killed.
-type Heartbeater interface {
-	Heartbeats() bool
-}
-
-// SupportsHeartbeats reports whether the named backend declares the
-// heartbeat capability. Unknown names report false.
-func SupportsHeartbeats(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	h, ok := b.(Heartbeater)
-	return ok && h.Heartbeats()
-}
-
-// MemoryTierer is an optional Backend capability: backends that honor
-// Config.MemoryBudgetBytes — serving walks through the tiered graph and
-// sampler stores — implement it (returning true) so CLI listings and
-// serving layers can tell which engines the budget knob reaches.
-type MemoryTierer interface {
-	SupportsMemoryTiering() bool
-}
-
-// SupportsMemoryTiering reports whether the named backend declares the
-// tiered-memory capability. Unknown names report false.
-func SupportsMemoryTiering(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	m, ok := b.(MemoryTierer)
-	return ok && m.SupportsMemoryTiering()
-}
-
-// VersionedGrapher is an optional Backend capability: backends that honor
-// Config.Snapshot — serving walks against an epoch snapshot of a
-// versioned graph — implement it (returning true). Backends without the
-// capability reject a non-nil Snapshot at Open.
-type VersionedGrapher interface {
-	SupportsVersionedGraphs() bool
-}
-
-// SupportsVersionedGraphs reports whether the named backend declares the
-// versioned-graph capability. Unknown names report false.
-func SupportsVersionedGraphs(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	v, ok := b.(VersionedGrapher)
-	return ok && v.SupportsVersionedGraphs()
+	c, ok := b.(CPUFamily)
+	return ok && c.MergesBatches()
 }
 
 // PlanReport is the resolved execution decision a planned session runs

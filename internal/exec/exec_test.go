@@ -371,21 +371,19 @@ func TestWalkerZeroAllocations(t *testing.T) {
 	}
 }
 
-// TestMergesBatchesCapability pins which backends declare the batch-merge
-// capability the serving layer keys on: exactly the cpu family (whose
-// per-query RNG streams make walks independent of batch composition).
+// TestMergesBatchesCapability pins which backends declare the one
+// capability the serving layer keys on (batch merging, heartbeats,
+// memory tiering, versioned graphs): exactly the cpu family and auto,
+// never an unknown name.
 func TestMergesBatchesCapability(t *testing.T) {
 	want := map[string]bool{
-		"cpu": true, "cpu-sharded": true, "cpu-pipelined": true,
+		"cpu": true, "cpu-sharded": true, "cpu-pipelined": true, "auto": true,
 		"ridgewalker": false, "lightrw": false, "suetal": false,
-		"fastrw": false, "gsampler": false,
+		"fastrw": false, "gsampler": false, "nope": false,
 	}
 	for name, m := range want {
-		if got := MergesBatches(name); got != m {
-			t.Errorf("MergesBatches(%q) = %v, want %v", name, got, m)
+		if got := IsCPUFamily(name); got != m {
+			t.Errorf("IsCPUFamily(%q) = %v, want %v", name, got, m)
 		}
-	}
-	if MergesBatches("nope") {
-		t.Error("unknown backend reported mergeable")
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/shard"
@@ -16,13 +13,8 @@ import (
 
 func init() {
 	Register(pipelinedBackend{})
+	Register(shardedBackend{})
 }
-
-// DefaultCohort is the cpu-pipelined backend's in-flight walker count per
-// worker when Config.Cohort is zero. Big enough that a cohort's row
-// fetches cover memory latency, small enough that the per-lane state of a
-// worker's cohort stays cache-resident.
-const DefaultCohort = 64
 
 // pipelinedBackend is the step-interleaved software engine: the walk step
 // is decomposed into Gather (CSR row bounds + neighbor-slice touch),
@@ -30,9 +22,8 @@ const DefaultCohort = 64
 // advance, path emit, retire/respawn), each run as a tight batched loop
 // over a cohort of in-flight walkers (walk.Cohort) — the software shadow
 // of the paper's perfectly pipelined datapath, in the spirit of
-// ThunderRW's step interleaving. With Shards > 0 the cohort stepper runs
-// inside the sharded engine's per-shard workers, composing partition
-// locality with step interleaving. Per-walker RNG streams keep output
+// ThunderRW's step interleaving. With Shards > 0 it opens the sharded
+// composition (see shardedBackend). Per-walker RNG streams keep output
 // byte-identical to the cpu backend for the same seed at any cohort size,
 // worker count, or shard count.
 type pipelinedBackend struct{}
@@ -43,228 +34,175 @@ func (pipelinedBackend) Description() string {
 	return "step-interleaved software engine: cohort-batched Gather/Sample/Move pipeline"
 }
 
-// MergesBatches implements BatchMerger: per-lane RNG streams make walks
-// independent of batch composition and cohort packing.
+// MergesBatches implements CPUFamily.
 func (pipelinedBackend) MergesBatches() bool { return true }
 
-// SupportsMemoryTiering implements MemoryTierer: the cohort Gather stage
-// serves hot rows from the arena and decodes cold rows per lane.
-func (pipelinedBackend) SupportsMemoryTiering() bool { return true }
-
-// SupportsVersionedGraphs implements VersionedGrapher: the cohort Gather
-// stage consults the epoch overlay before the base row.
-func (pipelinedBackend) SupportsVersionedGraphs() bool { return true }
-
-// Heartbeats implements Heartbeater: the cohort stepper bumps
-// Batch.Heartbeat once per cohort pass (sharded composition: per
-// finished walk).
-func (pipelinedBackend) Heartbeats() bool { return true }
-
 func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined workers %d, want >= 0", cfg.Workers)
+	return openCohort(g, cfg, "cpu-pipelined")
+}
+
+// shardedBackend is the partitioned composition of the cohort pipeline:
+// the graph is split into edge-balanced shards (internal/shard), each
+// shard owns a pool of cohort workers, and walkers migrate between
+// shards through SPSC rings when a hop crosses a partition boundary. It
+// is cpu-pipelined with the shard count defaulted rather than zero.
+type shardedBackend struct{}
+
+func (shardedBackend) Name() string { return "cpu-sharded" }
+
+func (shardedBackend) Description() string {
+	return "partitioned software engine: per-shard cohort pipelines, ring-based walker migration"
+}
+
+// MergesBatches implements CPUFamily.
+func (shardedBackend) MergesBatches() bool { return true }
+
+func (shardedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
+	if cfg.Shards == 0 {
+		cfg.Shards = defaultShards(g)
 	}
+	return openCohort(g, cfg, "cpu-sharded")
+}
+
+// defaultShards picks a shard count when the config leaves it zero: one
+// shard per core up to 8 (beyond that, cut-edge traffic outgrows the
+// locality win on the graphs this repository generates), clamped to the
+// vertex count so tiny graphs still open.
+func defaultShards(g *graph.CSR) int {
+	return max(1, min(runtime.GOMAXPROCS(0), 8, g.NumVertices))
+}
+
+// openCohort opens a cohort-pipeline session: one walk.Pipeline per
+// worker over contiguous batch chunks when cfg.Shards is 0, a
+// shard.Engine of per-shard cohort workers otherwise.
+func openCohort(g *graph.CSR, cfg Config, tag string) (Session, error) {
 	if cfg.Cohort < 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined cohort %d, want >= 0", cfg.Cohort)
+		return nil, fmt.Errorf("exec: %s cohort %d, want >= 0", tag, cfg.Cohort)
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined shards %d, want >= 0", cfg.Shards)
+		return nil, fmt.Errorf("exec: %s shards %d, want >= 0", tag, cfg.Shards)
 	}
-	cohort := cfg.Cohort
-	if cohort == 0 {
-		cohort = DefaultCohort
+	workers, err := poolWorkers(tag, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MemoryBudgetBytes != 0 && cfg.HubCacheBytes > 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined: MemoryBudgetBytes and HubCacheBytes are mutually exclusive (the tiered hot arena subsumes the hub cache)")
+		return nil, fmt.Errorf("exec: %s: MemoryBudgetBytes and HubCacheBytes are mutually exclusive (the tiered hot arena subsumes the hub cache)", tag)
 	}
 	// The degree-aware hub arena (opt-in via HubCacheBytes) serves the
-	// cohort Gather stage in both the sharded and unsharded compositions;
-	// content identity with the CSR keeps trajectories byte-identical.
+	// cohort Gather stage in both compositions; content identity with
+	// the CSR keeps trajectories byte-identical.
 	var lay *graph.Layout
 	if cfg.HubCacheBytes > 0 {
 		lay = graph.NewLayout(g, cfg.HubCacheBytes)
 	}
-	// The sampler is borrowed from the process-wide registry in both
-	// compositions, so pipelined, sharded, and flat cpu sessions over the
-	// same graph all read one store. A memory budget swaps both borrows
-	// for their tiered counterparts; the cohort Gather stage then decodes
-	// cold rows into per-lane scratch.
+	// The sampler is borrowed from the process-wide registry, so cohort
+	// and flat sessions over the same graph all read one store. A memory
+	// budget swaps both borrows for their tiered counterparts; the
+	// cohort Gather stage then decodes cold rows into per-lane scratch.
 	ref, ts, err := acquireWalkState(g, cfg)
 	if err != nil {
 		return nil, err
 	}
+	var tiered *graph.Tiered
+	if ts != nil {
+		tiered = ts.gref.Store()
+	}
+	var run runFunc
 	if cfg.Shards > 0 {
-		// Sharding × pipelining: per-shard workers run the cohort stepper.
-		part, err := shard.Partition(g, cfg.Shards)
-		if err != nil {
-			ts.release()
-			ref.Release()
-			return nil, err
-		}
-		ecfg := shard.EngineConfig{
-			Workers:  cfg.Workers,
-			Cohort:   cohort,
-			Layout:   lay,
-			Sampler:  ref.Sampler(),
-			Snapshot: cfg.Snapshot,
-		}
-		if ts != nil {
-			ecfg.Tiered = ts.gref.Store()
-		}
-		eng, err := shard.NewEngine(g, part, cfg.Walk, ecfg)
-		if err != nil {
-			ts.release()
-			ref.Release()
-			return nil, err
-		}
-		return &shardedSession{eng: eng, discard: cfg.DiscardPaths, sampler: ref, tier: ts, tag: "cpu-pipelined"}, nil
+		run, err = shardedRun(g, cfg, lay, tiered, ref.Sampler())
+	} else {
+		run, err = pipelinedRun(g, cfg, workers, lay, tiered, ref.Sampler())
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if err != nil {
+		ts.release()
+		ref.Release()
+		return nil, err
 	}
-	s := &pipelinedSession{g: g, discard: cfg.DiscardPaths, sampler: ref, tier: ts}
-	s.pipes = make([]*walk.Pipeline, workers)
-	for i := range s.pipes {
-		p, err := walk.NewPipelineWithSampler(g, cfg.Walk, ref.Sampler(), cohort)
+	return newSession(tag, cfg, ref, ts, cfg.Shards > 0, run), nil
+}
+
+// pipelinedRun builds one walk.Pipeline per worker; each drives its
+// contiguous chunk of the batch. Within a chunk, delivery order follows
+// lane retirement, not batch order.
+func pipelinedRun(g *graph.CSR, cfg Config, workers int, lay *graph.Layout, tiered *graph.Tiered, sampler sampling.Sampler) (runFunc, error) {
+	cohort := cfg.Cohort
+	if cohort == 0 {
+		cohort = walk.DefaultCohort
+	}
+	pipes := make([]*walk.Pipeline, workers)
+	for i := range pipes {
+		p, err := walk.NewPipelineWithSampler(g, cfg.Walk, sampler, cohort)
 		if err != nil {
-			ts.release()
-			ref.Release()
 			return nil, err
 		}
 		if lay != nil {
 			p.SetLayout(lay)
 		}
-		if ts != nil {
-			p.SetTiered(ts.gref.Store())
+		if tiered != nil {
+			p.SetTiered(tiered)
 		}
 		if cfg.Snapshot != nil {
 			p.SetSnapshot(cfg.Snapshot)
 		}
-		s.pipes[i] = p
+		pipes[i] = p
 	}
-	return s, nil
-}
-
-// pipelinedSession mirrors cpuSession's worker-pool structure, with each
-// worker driving its contiguous chunk of the batch through a reusable
-// walk.Pipeline instead of a sequential Walker.
-type pipelinedSession struct {
-	mu      sync.Mutex // serializes Run/Stream: pipelines are single-batch state
-	g       *graph.CSR
-	discard bool
-	sampler *sampling.SamplerRef
-	tier    *tierState
-	pipes   []*walk.Pipeline
-}
-
-// MemoryReport implements MemoryReporter (nil for untiered sessions).
-func (s *pipelinedSession) MemoryReport() *MemoryReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tier.report()
-}
-
-// SamplerBytes reports the resident size of the session's (shared)
-// sampler state.
-func (s *pipelinedSession) SamplerBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sampler == nil {
-		return 0
-	}
-	return sampling.Footprint(s.sampler.Sampler())
-}
-
-// forEachWalk partitions the batch into contiguous chunks, one per worker
-// pipeline, and invokes emit for every finished walk. Within a chunk,
-// delivery order follows lane retirement, not batch order; the index
-// passed to emit is the query's position in the whole batch. The path
-// aliases a recycled lane buffer.
-func (s *pipelinedSession) forEachWalk(ctx context.Context, batch Batch,
-	emit func(worker, index int, q walk.Query, path []graph.VertexID, steps int64) error) error {
-	workers := len(s.pipes)
-	if workers == 0 {
-		return fmt.Errorf("exec: session is closed")
-	}
-	hb := batch.Heartbeat
-	return runChunked(ctx, len(batch.Queries), workers, func(w, lo, hi int, stopped func() bool) error {
-		if err := fault.CheckTag(fault.BatchExec, "cpu-pipelined"); err != nil {
-			return err
-		}
-		// Cooperative cancellation inside the cohort loop: the pipeline
-		// polls the stop hook once per cohort pass (at most one hop per
-		// lane between polls), so an expired deadline sheds remaining
-		// steps mid-walk instead of finishing the chunk. The watchdog
-		// heartbeat rides the same poll.
-		hook := stopped
-		if hb != nil {
-			hook = func() bool {
-				hb.Add(1)
-				return stopped()
+	return func(ctx context.Context, batch Batch, emit walk.EmitFunc) error {
+		hb := batch.Heartbeat
+		return runChunked(ctx, len(batch.Queries), workers, func(w, lo, hi int, stopped func() bool) error {
+			// Cooperative cancellation inside the cohort loop: the pipeline
+			// polls the stop hook once per cohort pass (at most one hop per
+			// lane between polls), so an expired deadline sheds remaining
+			// steps mid-walk instead of finishing the chunk. The watchdog
+			// heartbeat rides the same poll.
+			hook := stopped
+			if hb != nil {
+				hook = func() bool {
+					hb.Add(1)
+					return stopped()
+				}
 			}
-		}
-		s.pipes[w].SetStop(hook)
-		defer s.pipes[w].SetStop(nil)
-		_, err := s.pipes[w].Run(batch.Queries[lo:hi],
-			func(i int, q walk.Query, path []graph.VertexID, steps int64) error {
-				return emit(w, lo+i, q, path, steps)
+			p := pipes[w]
+			p.SetStop(hook)
+			defer p.SetStop(nil)
+			_, err := p.Run(batch.Queries[lo:hi], func(i int, q walk.Query, path []graph.VertexID, steps int64) error {
+				return emit(lo+i, q, path, steps)
 			})
-		if err == walk.ErrStopped {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+			if err == walk.ErrStopped {
+				return stoppedErr(ctx)
 			}
-			return errStopped
-		}
-		return err
-	})
+			return err
+		})
+	}, nil
 }
 
-func (s *pipelinedSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res := &BatchResult{}
-	if !s.discard {
-		res.Paths = make([][]graph.VertexID, len(batch.Queries))
+// shardedRun partitions g into cfg.Shards shards and builds the engine
+// whose per-shard workers run the cohort stepper. The engine polls ctx
+// and bumps the heartbeat once per finished walk.
+func shardedRun(g *graph.CSR, cfg Config, lay *graph.Layout, tiered *graph.Tiered, sampler sampling.Sampler) (runFunc, error) {
+	part, err := shard.Partition(g, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
-	var steps atomic.Int64
-	err := s.forEachWalk(ctx, batch, func(_, i int, _ walk.Query, path []graph.VertexID, st int64) error {
-		if !s.discard {
-			cp := make([]graph.VertexID, len(path))
-			copy(cp, path)
-			res.Paths[i] = cp
-		}
-		steps.Add(st)
-		return nil
+	eng, err := shard.NewEngine(g, part, cfg.Walk, shard.EngineConfig{
+		Workers:  cfg.Workers,
+		Cohort:   cfg.Cohort,
+		Layout:   lay,
+		Tiered:   tiered,
+		Sampler:  sampler,
+		Snapshot: cfg.Snapshot,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Steps = steps.Load()
-	res.Memory = s.tier.report()
-	return res, nil
-}
-
-func (s *pipelinedSession) Stream(ctx context.Context, batch Batch, fn func(WalkOutput) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var outMu sync.Mutex // fn contract: never called concurrently
-	return s.forEachWalk(ctx, batch, func(_, _ int, q walk.Query, path []graph.VertexID, st int64) error {
-		outMu.Lock()
-		defer outMu.Unlock()
-		return fn(WalkOutput{Query: q.ID, Path: path, Steps: st})
-	})
-}
-
-func (s *pipelinedSession) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pipes = nil
-	if s.sampler != nil {
-		s.sampler.Release()
-		s.sampler = nil
-	}
-	s.tier.release() // idempotent with the sampler release above
-	s.tier = nil
-	return nil
+	return func(ctx context.Context, batch Batch, emit walk.EmitFunc) error {
+		hb := batch.Heartbeat
+		_, err := eng.Run(ctx, batch.Queries, func(i int, q walk.Query, path []graph.VertexID, steps int64) error {
+			if hb != nil {
+				hb.Add(1)
+			}
+			return emit(i, q, path, steps)
+		})
+		return err
+	}, nil
 }

@@ -19,10 +19,6 @@ func sessionSampler(t *testing.T, s Session) sampling.Sampler {
 	switch ses := s.(type) {
 	case *cpuSession:
 		return ses.sampler.Sampler()
-	case *pipelinedSession:
-		return ses.sampler.Sampler()
-	case *shardedSession:
-		return ses.sampler.Sampler()
 	}
 	t.Fatalf("session %T holds no sampler ref", s)
 	return nil

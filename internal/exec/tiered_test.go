@@ -26,9 +26,26 @@ func tieredBudgets(g *graph.CSR) []int64 {
 // arenas plus unchanged RNG consumption make the tiers invisible to
 // results — this pins it across the hot arena path, the cold decode
 // path, the per-lane cohort scratch, and the sharded migration fabric.
+//
+// Shard counts and cohort widths are pinned rather than left to the
+// GOMAXPROCS-derived defaults, so the engines covered never depend on
+// the host's core count.
 func TestTieredEquivalenceMatrix(t *testing.T) {
 	g := testGraph(t)
-	backends := []string{"cpu", "cpu-pipelined", "cpu-sharded"}
+	type shape struct {
+		backend        string
+		shards, cohort int
+	}
+	shapes := []shape{{backend: "cpu"}}
+	for _, shards := range []int{0, 1, 2, 4} {
+		for _, cohort := range []int{0, 16} {
+			backend := "cpu-sharded"
+			if shards == 0 {
+				backend = "cpu-pipelined"
+			}
+			shapes = append(shapes, shape{backend, shards, cohort})
+		}
+	}
 	for _, alg := range walk.Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg, qs := testWorkload(t, g, alg, 200)
@@ -36,26 +53,26 @@ func TestTieredEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, backend := range backends {
+			for _, sh := range shapes {
 				for _, budget := range tieredBudgets(g) {
-					ses, err := Open(backend, g, Config{Walk: cfg, Workers: 2, MemoryBudgetBytes: budget})
+					ses, err := Open(sh.backend, g, Config{Walk: cfg, Workers: 2, Shards: sh.shards, Cohort: sh.cohort, MemoryBudgetBytes: budget})
 					if err != nil {
-						t.Fatalf("%s budget=%d: %v", backend, budget, err)
+						t.Fatalf("%+v budget=%d: %v", sh, budget, err)
 					}
 					got, err := ses.Run(context.Background(), Batch{Queries: qs})
 					if err != nil {
 						ses.Close()
-						t.Fatalf("%s budget=%d: %v", backend, budget, err)
+						t.Fatalf("%+v budget=%d: %v", sh, budget, err)
 					}
 					if got.Memory == nil {
 						ses.Close()
-						t.Fatalf("%s budget=%d: no memory report", backend, budget)
+						t.Fatalf("%+v budget=%d: no memory report", sh, budget)
 					}
 					for i := range want.Paths {
 						if !equalPath(got.Paths[i], want.Paths[i]) {
 							ses.Close()
-							t.Fatalf("%s budget=%d query %d: tiered path %v, flat %v",
-								backend, budget, i, got.Paths[i], want.Paths[i])
+							t.Fatalf("%+v budget=%d query %d: tiered path %v, flat %v",
+								sh, budget, i, got.Paths[i], want.Paths[i])
 						}
 					}
 					ses.Close()

@@ -122,18 +122,6 @@ func TestMutationEquivalenceMatrix(t *testing.T) {
 // CPU family does, the FPGA models and related-work analytics do not (and
 // must reject a snapshot config loudly, not silently walk the stale base).
 func TestVersionedGraphCapability(t *testing.T) {
-	for name, want := range map[string]bool{
-		"cpu": true, "cpu-pipelined": true, "cpu-sharded": true,
-		"ridgewalker": false, "fastrw": false, "gsampler": false, "lightrw": false, "suetal": false,
-	} {
-		if got := SupportsVersionedGraphs(name); got != want {
-			t.Fatalf("SupportsVersionedGraphs(%q) = %v, want %v", name, got, want)
-		}
-	}
-	if SupportsVersionedGraphs("nope") {
-		t.Fatal("unknown backend claims snapshot support")
-	}
-
 	g := testGraph(t)
 	cfg, _ := testWorkload(t, g, walk.URW, 1)
 	snap, _ := mutationFixture(t, g, "insert")

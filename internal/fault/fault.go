@@ -44,9 +44,9 @@ const (
 	// CalibrationProbe fires in the planner's calibration probe step;
 	// the tag is the probed candidate's backend name.
 	CalibrationProbe Point = "calibration-probe"
-	// BatchExec fires inside backend batch execution, at the engines'
-	// cooperative-stop checkpoints; the tag is the executing backend
-	// name ("cpu", "cpu-pipelined", "cpu-sharded").
+	// BatchExec fires at the start of each CPU-family session batch
+	// (Run or Stream); the tag is the name of the backend that opened
+	// the session ("cpu", "cpu-pipelined", "cpu-sharded").
 	BatchExec Point = "batch-exec"
 )
 

@@ -281,7 +281,10 @@ func streamSorted(cfg RMATConfig, rowPtr []int64, chunk int, tmpDir string,
 	stats *StreamStats, emit func(VertexID) error) error {
 	n := len(rowPtr) - 1
 	m := cfg.EdgeFactor * n
-	bufCap := chunk
+	// The buffer never needs more than the whole edge stream (plus the
+	// flush rule's two-pair headroom): a chunk larger than the graph must
+	// not reserve its full size up front.
+	bufCap := min(chunk, m+2)
 	if !cfg.Directed {
 		bufCap *= 2
 	}

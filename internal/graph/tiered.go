@@ -390,6 +390,10 @@ type TierView struct {
 	col  [tierViewSlots][]VertexID
 	wts  [tierViewSlots][]float32
 	hand int
+	// pin is the slot holding the row last returned by Row or
+	// RowAndWeights (-1 for none): the caller may still alias it, so a
+	// HasEdge miss never evicts it.
+	pin int
 	// needRow / needW narrow what the view decodes to what the consumer's
 	// sampler actually reads (SetAccess). With needRow false the depth-
 	// first engines skip row materialization entirely — one ColdEntryAt
@@ -401,7 +405,9 @@ type TierView struct {
 // NewTierView returns a fresh per-worker view over t. The view defaults
 // to full access (rows and weights both decoded); engines narrow it with
 // SetAccess when the workload's sampler reads less.
-func NewTierView(t *Tiered) *TierView { return &TierView{t: t, needRow: true, needW: true} }
+func NewTierView(t *Tiered) *TierView {
+	return &TierView{t: t, needRow: true, needW: true, pin: -1}
+}
 
 // SetAccess narrows the view to the row components the consuming sampler
 // reads: needRow false means the sampler consumes only a degree and one
@@ -414,7 +420,7 @@ func (vw *TierView) SetAccess(needRow, needW bool) {
 }
 
 // NeedRow reports whether the view's consumer requires materialized rows
-// (false selects the depth-first slot-decode fast path).
+// (false selects the flat walker's slot-decode fast path).
 func (vw *TierView) NeedRow() bool { return vw.needRow }
 
 // Tiered returns the underlying store.
@@ -425,7 +431,8 @@ func (vw *TierView) Graph() *CSR { return vw.t.g }
 
 // Row returns v's neighbor list — content-identical to Graph().
 // Neighbors(v). Hot rows alias the hot arena; cold rows alias the view's
-// decode cache and stay valid until tierViewSlots further cold-row misses.
+// decode cache and stay valid until the next Row or RowAndWeights call
+// (HasEdge probes in between never evict them).
 func (vw *TierView) Row(v VertexID) []VertexID {
 	row, _ := vw.RowAndWeights(v)
 	return row
@@ -434,35 +441,48 @@ func (vw *TierView) Row(v VertexID) []VertexID {
 // RowAndWeights returns v's neighbor list and, on weighted graphs, the
 // parallel weight row (nil otherwise). Aliasing as in Row.
 func (vw *TierView) RowAndWeights(v VertexID) ([]VertexID, []float32) {
+	row, wts, slot := vw.lookup(v)
+	vw.pin = slot
+	return row, wts
+}
+
+// lookup serves v's row, decoding cold misses into the round-robin
+// slot after hand — skipping the pinned slot — and reports the cache
+// slot it came from (-1 for hot and empty rows).
+func (vw *TierView) lookup(v VertexID) ([]VertexID, []float32, int) {
 	t := vw.t
 	off, deg, hot := t.Locate(v)
 	if hot {
 		if t.hotW != nil {
-			return t.hotCol[off : off+int64(deg)], t.hotW[off : off+int64(deg)]
+			return t.hotCol[off : off+int64(deg)], t.hotW[off : off+int64(deg)], -1
 		}
-		return t.hotCol[off : off+int64(deg)], nil
+		return t.hotCol[off : off+int64(deg)], nil, -1
 	}
 	if deg == 0 {
-		return nil, nil
+		return nil, nil, -1
 	}
 	for i := 0; i < tierViewSlots; i++ {
 		if vw.ok[i] && vw.v[i] == v {
-			return vw.col[i], vw.wts[i]
+			return vw.col[i], vw.wts[i], i
 		}
 	}
 	i := vw.hand
-	vw.hand = (vw.hand + 1) % tierViewSlots
+	if i == vw.pin {
+		i = (i + 1) % tierViewSlots
+	}
+	vw.hand = (i + 1) % tierViewSlots
 	vw.col[i], vw.wts[i] = t.DecodeRowInto(v, vw.col[i], vw.wts[i], t.g.Weighted() && vw.needW)
 	vw.v[i] = v
 	vw.ok[i] = true
-	return vw.col[i], vw.wts[i]
+	return vw.col[i], vw.wts[i], i
 }
 
 // HasEdge reports whether the directed edge u→v is present, binary
 // searching u's row through the view (so cold rows decode at most once
-// per cache residency).
+// per cache residency). It never evicts the row a caller obtained from
+// Row or RowAndWeights.
 func (vw *TierView) HasEdge(u, v VertexID) bool {
-	ns := vw.Row(u)
+	ns, _, _ := vw.lookup(u)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
 	return i < len(ns) && ns[i] == v
 }

@@ -221,6 +221,46 @@ func TestTierViewCacheAndHasEdge(t *testing.T) {
 	}
 }
 
+// TestTierViewRowSurvivesHasEdgeMisses pins the aliasing contract a
+// second-order sampler relies on: the row RowAndWeights(u) returned
+// stays intact while HasEdge probes other cold rows, however many of
+// those probes miss the view's cache — including when u's slot is the
+// round-robin cursor's next victim.
+func TestTierViewRowSurvivesHasEdgeMisses(t *testing.T) {
+	g, err := GenerateRMAT(Balanced(9, 8, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AttachWeights()
+	ts, err := NewTiered(g, -1) // all cold: every row decodes into the cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw := NewTierView(ts)
+	n := g.NumVertices
+	for hop := 0; hop < 4*n; hop++ {
+		u := VertexID((hop * 7) % n)
+		col, wts := vw.RowAndWeights(u)
+		wantCol, wantW := g.Neighbors(u), g.NeighborWeights(u)
+		if len(wantCol) == 0 {
+			continue
+		}
+		// Probe more distinct rows than the cache holds, each through a
+		// few HasEdge calls, the way Node2Vec probes its previous vertex.
+		for p := 1; p <= tierViewSlots+1; p++ {
+			prev := VertexID((hop*13 + p*31) % n)
+			for _, x := range wantCol[:min(3, len(wantCol))] {
+				if got, want := vw.HasEdge(prev, x), g.HasEdge(prev, x); got != want {
+					t.Fatalf("hop %d: HasEdge(%d,%d) = %v, want %v", hop, prev, x, got, want)
+				}
+			}
+		}
+		if !reflect.DeepEqual(col, wantCol) || !reflect.DeepEqual(wts, wantW) {
+			t.Fatalf("hop %d: row of %d clobbered by HasEdge misses", hop, u)
+		}
+	}
+}
+
 // TestTieredTouchRow makes sure the prefetch hook never faults across
 // tiers and degrees.
 func TestTieredTouchRow(t *testing.T) {

@@ -196,7 +196,6 @@ func Candidates(st GraphStats, cons Constraints) []Candidate {
 		}
 	}
 	if shards > 1 {
-		out = append(out, Candidate{Backend: "cpu-sharded", Shards: shards})
 		for _, c := range cohorts {
 			out = append(out, Candidate{Backend: "cpu-pipelined", Cohort: c, Shards: shards})
 		}
@@ -253,7 +252,7 @@ func Decide(st GraphStats, cons Constraints, ms []Measurement) Plan {
 		}
 	}
 	for _, c := range cands {
-		if c.Backend == "cpu-pipelined" && (c.Cohort == 64 || cons.Cohort > 0) {
+		if c.Backend == "cpu-pipelined" && (c.Cohort == walk.DefaultCohort || cons.Cohort > 0) {
 			p.Candidate = c
 			p.Reason = "stats: cohort pipeline is never slower than the flat engine"
 			return p

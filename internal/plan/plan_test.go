@@ -75,7 +75,6 @@ func TestCandidatesMultiCoreAndPins(t *testing.T) {
 		{Backend: "cpu-pipelined", Cohort: 16},
 		{Backend: "cpu-pipelined", Cohort: 64},
 		{Backend: "cpu-pipelined", Cohort: 256},
-		{Backend: "cpu-sharded", Shards: 4},
 		{Backend: "cpu-pipelined", Cohort: 16, Shards: 4},
 		{Backend: "cpu-pipelined", Cohort: 64, Shards: 4},
 		{Backend: "cpu-pipelined", Cohort: 256, Shards: 4},

@@ -21,23 +21,15 @@ type EngineConfig struct {
 	// pool gets max(1, Workers/K) goroutines, so the actual total is at
 	// least K. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// MigrateBatch is retained for configuration compatibility and is
-	// ignored: the SPSC migration rings hand walkers off as individual
-	// record copies (cheaper than one channel send), and doorbell
-	// notifications are coalesced per drain pass, so there is no batch
-	// size left to tune.
-	MigrateBatch int
 	// MaxInflight caps the walkers concurrently in flight across all
 	// shards. It sizes the engine's walker-record pool: each record owns
 	// a path buffer and RNG stream, recycled through the mesh's free
 	// rings for the engine's lifetime. 0 means 4096.
 	MaxInflight int
-	// Cohort switches the per-shard workers from depth-first advancement
-	// to the step-interleaved cohort pipeline (walk.Cohort): each worker
-	// batches up to Cohort resident walkers and runs the Gather/Sample/Move
-	// stages over all of them per pass, so row fetches overlap sampling
-	// across walkers. Walkers still migrate on boundary crossings with
-	// identical trajectories. 0 keeps depth-first advancement.
+	// Cohort is each worker's step-interleaved pipeline width
+	// (walk.Cohort): a worker batches up to Cohort resident walkers and
+	// runs the Gather/Sample/Move stages over all of them per pass, so row
+	// fetches overlap sampling across walkers. 0 means walk.DefaultCohort.
 	Cohort int
 	// RingCapacity caps each SPSC migration ring (walker records per
 	// producer→consumer worker pair). A full ring never blocks and never
@@ -49,20 +41,18 @@ type EngineConfig struct {
 	// Layout optionally serves cohort Gather reads through a degree-aware
 	// graph.Layout (hub rows in a compact cache-resident arena). It must
 	// be built over the engine's graph; content identity makes it
-	// trajectory-neutral. Ignored when Cohort == 0.
+	// trajectory-neutral.
 	Layout *graph.Layout
-	// Tiered optionally serves row reads through a tiered store (hot
-	// arena + compressed cold CSR): cohort workers route their Gather
-	// stage through it and depth-first workers advance through per-worker
-	// TierViews. It must be built over the engine's graph; content
-	// identity makes it trajectory-neutral. Mutually exclusive with
-	// Layout (the tiered store subsumes the hub arena).
+	// Tiered optionally serves the cohort Gather stage through a tiered
+	// store (hot arena + compressed cold CSR). It must be built over the
+	// engine's graph; content identity makes it trajectory-neutral.
+	// Mutually exclusive with Layout (the tiered store subsumes the hub
+	// arena).
 	Tiered *graph.Tiered
 	// Snapshot optionally serves an epoch snapshot of a versioned graph:
 	// rows dirty for the snapshot's epoch are read from its merged
-	// overlay (cohort workers through Cohort.SetSnapshot, depth-first
-	// workers through their staged RowView), and second-order probes
-	// route through it. It must be a snapshot over the engine's graph.
+	// overlay (Cohort.SetSnapshot), and second-order probes route through
+	// it. It must be a snapshot over the engine's graph.
 	Snapshot *graph.Snapshot
 	// Sampler, when non-nil, is a prebuilt sampler the engine borrows
 	// instead of building its own — the execution layer passes its
@@ -76,6 +66,9 @@ type EngineConfig struct {
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.Cohort == 0 {
+		c.Cohort = walk.DefaultCohort
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 4096
@@ -91,9 +84,10 @@ type RunStats struct {
 	// Migrations counts cross-shard walker hand-offs (one walker crossing
 	// one partition boundary and being delivered to the owning shard).
 	Migrations int64
-	// HandoffBatches counts doorbell flushes that published at least one
-	// migrated walker; Migrations divided by HandoffBatches is the
-	// realized migration batching factor.
+	// HandoffBatches counts doorbells rung to wake a parked worker for
+	// migrated walkers (a busy worker polls its rings and needs none);
+	// Migrations divided by HandoffBatches is the realized migration
+	// batching factor.
 	HandoffBatches int64
 	// RingStalls counts hand-off attempts that found the destination ring
 	// full; each stalled walker was advanced in place instead (lossless
@@ -115,16 +109,15 @@ type RunStats struct {
 type EmitFunc func(index int, q walk.Query, path []graph.VertexID, steps int64) error
 
 // Engine executes walk batches over a partitioned graph. Each shard owns
-// a worker pool that advances only walkers currently standing on its
-// vertices; when a hop crosses a partition boundary the walker — its
-// resumable walk.State, path buffer, and RNG stream — is copied as one
-// flat record into the fixed-capacity SPSC migration ring joining the
-// two workers. Rings replace the earlier per-message mailbox channels:
-// a hand-off is a single struct copy ordered by one atomic store, there
-// is no per-walker boxing or per-batch slice allocation, and the whole
-// fabric (rings, walker records, path buffers, worker scratch, cohort
-// lanes) is pooled per engine, so steady-state migration performs zero
-// heap allocations.
+// a worker pool; every worker runs a walk.Cohort over the walkers
+// currently standing on its shard's vertices. When a hop crosses a
+// partition boundary the walker — its resumable walk.State, path buffer,
+// and RNG stream — is copied as one flat record into the fixed-capacity
+// SPSC migration ring joining the two workers. A hand-off is a single
+// struct copy ordered by one atomic store, there is no per-walker boxing
+// or per-batch slice allocation, and the whole fabric (rings, walker
+// records, path buffers, cohort lanes) is pooled per engine, so
+// steady-state migration performs zero heap allocations.
 //
 // Sampling always reads the global CSR, not the per-shard views:
 // second-order samplers touch rows outside the current shard (Node2Vec's
@@ -162,6 +155,11 @@ type Engine struct {
 	meshMu sync.Mutex
 	meshes []*mesh
 }
+
+// bellEvery is how many cohort passes a busy worker lets hand-offs to a
+// parked consumer accumulate before ringing it; an idle worker rings
+// before it parks.
+const bellEvery = 8
 
 // meshCacheCap bounds idle cached meshes (concurrent Runs beyond it
 // build transient meshes that are dropped on completion).
@@ -214,10 +212,8 @@ func NewEngine(g *graph.CSR, p *Partitioning, wcfg walk.Config, cfg EngineConfig
 	} else if err := wcfg.Validate(g); err != nil {
 		return nil, err
 	}
-	if cfg.Cohort > 0 {
-		if _, ok := sampling.AsStaged(sampler); !ok {
-			return nil, fmt.Errorf("shard: sampler %T is not stage-resumable; cohort stepping unavailable", sampler)
-		}
+	if _, ok := sampling.AsStaged(sampler); !ok {
+		return nil, fmt.Errorf("shard: sampler %T is not stage-resumable; cohort stepping unavailable", sampler)
 	}
 	return &Engine{
 		g:       g,
@@ -264,18 +260,20 @@ func (e *Engine) WorkersPerShard() int {
 	return w
 }
 
-// run is the per-Run execution state; the heavy structures live in the
-// pooled mesh.
+// run is the per-Run execution state. It lives in the mesh it drives
+// and is reset by mesh.acquire, so starting a Run allocates nothing but
+// its worker goroutines.
 type run struct {
 	eng *Engine
 	m   *mesh
 	fn  EmitFunc
 
 	remaining atomic.Int64
-	doneCh    chan struct{} // closed when remaining hits 0
-	abortCh   chan struct{} // closed on first error / cancellation
-	abortOnce sync.Once
-	err       error
+	// over is set when every walk has been emitted or the run failed;
+	// end then wakes every parked goroutine through its doorbell.
+	over     atomic.Bool
+	failOnce sync.Once
+	err      error
 
 	migrations atomic.Int64
 	handoffs   atomic.Int64
@@ -283,21 +281,27 @@ type run struct {
 	wg         sync.WaitGroup
 }
 
+// fail records the run's first error and ends it.
 func (r *run) fail(err error) {
-	r.abortOnce.Do(func() {
+	r.failOnce.Do(func() {
 		r.err = err
-		close(r.abortCh)
+		r.end()
 	})
 }
 
-// aborted reports whether the run has failed (cheap enough for per-walker
-// polling).
-func (r *run) aborted() bool {
+// end marks the run over and wakes the workers, the injector and Run's
+// wait. Each goroutine checks over after every wake, and every doorbell
+// is rung after the flag is set, so none is left parked.
+func (r *run) end() {
+	m := r.m
+	r.over.Store(true)
+	for c := range m.bells {
+		m.bell(c)
+	}
+	m.bellInjector()
 	select {
-	case <-r.abortCh:
-		return true
+	case m.finished <- struct{}{}:
 	default:
-		return false
 	}
 }
 
@@ -310,70 +314,24 @@ func (r *run) finishRec(wi int, w *walkerRec) {
 	r.m.free[wi].push(w) // capacity MaxInflight bounds records in flight; never fails
 	r.m.bellInjector()
 	if r.remaining.Add(-1) == 0 {
-		close(r.doneCh)
+		r.end()
 	}
 }
 
-// flushBells publishes this worker's pending hand-offs: one doorbell per
-// consumer pushed to since the last flush. Counted as hand-off batches —
-// the ring-mesh analogue of the old per-batch mailbox message.
+// flushBells wakes the parked consumers this worker has pushed to since
+// its last flush: one doorbell per consumer, counted as a hand-off batch.
+// A consumer found running needs none: the pushes precede this check, so
+// if it parks afterwards, its pre-park inbound check sees them.
 func (r *run) flushBells(ws *workerState) {
 	for c, d := range ws.dirty {
-		if d {
-			ws.dirty[c] = false
+		if !d {
+			continue
+		}
+		ws.dirty[c] = false
+		if r.m.workers[c].parked.Load() {
 			r.handoffs.Add(1)
 			r.m.bell(c)
 		}
-	}
-}
-
-// advanceRec walks the record in ws.rec while it stays on this shard's
-// vertices — or on cache-resident hub rows, which cost the same from any
-// shard — then either finishes it or copies it into the owner's ring.
-// Depth-first advancement (walk until you leave) keeps a walker's state
-// and path buffer hot in L1/L2 across consecutive hops. A full
-// destination ring is lossless backpressure: the walker simply keeps
-// advancing here (same trajectory) and retries at its next boundary
-// crossing.
-func (r *run) advanceRec(wi int, ws *workerState) {
-	e, m := r.eng, r.m
-	w := &ws.rec
-	for {
-		var more bool
-		if ws.tv != nil || ws.mem.Snap != nil {
-			more = walk.AdvanceView(e.g, ws.tv, &ws.mem, e.sampler, e.wcfg, &w.st, &w.r)
-		} else {
-			more = walk.Advance(e.g, e.sampler, e.wcfg, &w.st, &w.r)
-		}
-		if !more {
-			r.finishRec(wi, w)
-			return
-		}
-		// The O(1) resident-hub bitset goes first: hub hops are the common
-		// case on power-law graphs, and short-circuiting here skips the
-		// Owner binary search entirely on the per-hop hot path.
-		cur := w.st.Cur
-		if e.part.Resident(cur) {
-			continue
-		}
-		dst := e.part.Owner(cur)
-		if dst == ws.shardID {
-			continue
-		}
-		// Hand-off injection point (armed-guarded: one atomic load when
-		// chaos is off); surfaces as a panic the shard-worker containment
-		// converts to an engine fault.
-		if fault.Armed() {
-			fault.MustCheck(fault.ShardHandoff)
-		}
-		c := m.route(&ws.rr, dst)
-		if m.rings[wi][c].push(w) {
-			r.migrations.Add(1)
-			ws.dirty[c] = true
-			return
-		}
-		r.stalls.Add(1)
-		m.bell(c) // nudge the consumer to drain; meanwhile advance in place
 	}
 }
 
@@ -397,72 +355,30 @@ func (r *run) ejectLane(wi int, ws *workerState, tag int32) {
 	ws.stalled = append(ws.stalled, tag)
 }
 
-// workerDF is one depth-first goroutine of a shard's pool: drain every
-// inbound ring, advance each arrival as far as the shard allows, flush
-// doorbells, park when idle.
-func (r *run) workerDF(wi int) {
-	defer r.wg.Done()
-	// Panic firewall: a crash while advancing one walker fails the run
-	// (closing abortCh wakes every parked worker and the injector) and
-	// quarantines the mesh, never the process.
-	if err := fault.Contain("shard-worker", func() error {
-		r.workerDFLoop(wi)
-		return nil
-	}); err != nil {
-		r.fail(err)
-	}
-}
-
-func (r *run) workerDFLoop(wi int) {
-	m := r.m
-	ws := m.workers[wi]
-	for {
-		worked := false
-		for p := 0; p <= m.W; p++ {
-			ring := m.rings[p][wi]
-			for ring.pop(&ws.rec) {
-				worked = true
-				if r.aborted() {
-					return
-				}
-				r.advanceRec(wi, ws)
-			}
-		}
-		r.flushBells(ws)
-		if worked {
-			continue
-		}
-		select {
-		case <-m.bells[wi]:
-		case <-r.doneCh:
-			return
-		case <-r.abortCh:
-			return
-		}
-	}
-}
-
-// workerCohort is the cohort-stepping variant: arrivals are popped
+// worker is one goroutine of a shard's pool: arrivals are popped
 // straight into free lane records and admitted to the walk.Cohort, which
 // advances all resident walkers one Gather/Sample/Move pass at a time —
 // one walker's CSR row fetch overlaps the sampling and move work of the
-// rest. Ejection is decided per hop by the depart callback (the same
-// resident-hub / owner check the depth-first worker makes); ejected
-// walkers leave with their State synced, as one flat record copy into
-// the destination ring. The inbound rings double as the admission
-// backlog: the worker pops only when a lane is free, so excess arrivals
-// wait in the ring, not in a growing slice.
-func (r *run) workerCohort(wi int) {
+// rest. Ejection is decided per hop by the depart callback (resident hub
+// rows stay, rows owned by another shard leave); ejected walkers leave
+// with their State synced, as one flat record copy into the destination
+// ring. The inbound rings double as the admission backlog: the worker
+// pops only when a lane is free, so excess arrivals wait in the ring,
+// not in a growing slice.
+func (r *run) worker(wi int) {
 	defer r.wg.Done()
+	// Panic firewall: a crash while advancing a walker fails the run
+	// (waking every parked worker and the injector) and quarantines the
+	// mesh, never the process.
 	if err := fault.Contain("shard-worker", func() error {
-		r.workerCohortLoop(wi)
+		r.workerLoop(wi)
 		return nil
 	}); err != nil {
 		r.fail(err)
 	}
 }
 
-func (r *run) workerCohortLoop(wi int) {
+func (r *run) workerLoop(wi int) {
 	m := r.m
 	ws := m.workers[wi]
 	cohort := ws.cohort
@@ -481,7 +397,7 @@ func (r *run) workerCohortLoop(wi int) {
 			}
 		}
 		if cohort.Len() > 0 {
-			if r.aborted() {
+			if r.over.Load() {
 				return
 			}
 			cohort.Step(ws.depart, ws.eject, ws.retire) // retire never errors here
@@ -503,15 +419,28 @@ func (r *run) workerCohortLoop(wi int) {
 			}
 			ws.stalled = ws.stalled[:0]
 		}
-		r.flushBells(ws)
 		if worked {
+			// A busy worker rings parked consumers every bellEvery passes,
+			// so a trickle of hand-offs wakes them in batches rather than
+			// once per walker.
+			ws.passes++
+			if ws.passes%bellEvery == 0 {
+				r.flushBells(ws)
+			}
 			continue
 		}
-		select {
-		case <-m.bells[wi]:
-		case <-r.doneCh:
-			return
-		case <-r.abortCh:
+		r.flushBells(ws)
+		// Park. The flag is published before the last inbound check, so a
+		// producer either sees it and rings or its push is seen here: no
+		// hand-off can be left waiting on a parked worker.
+		ws.parked.Store(true)
+		if m.inbound(wi) {
+			ws.parked.Store(false)
+			continue
+		}
+		<-m.bells[wi]
+		ws.parked.Store(false)
+		if r.over.Load() {
 			return
 		}
 	}
@@ -570,9 +499,10 @@ func (r *run) injectLoop(ctx context.Context, queries []walk.Query) {
 				r.flushInjectorBells()
 				select {
 				case <-m.injBell:
+					if r.over.Load() {
+						return
+					}
 					continue
-				case <-r.abortCh:
-					return
 				case <-ctx.Done():
 					r.fail(ctx.Err())
 					return
@@ -586,7 +516,7 @@ func (r *run) injectLoop(ctx context.Context, queries []walk.Query) {
 		c := m.route(&m.injRR, e.part.Owner(q.Start))
 		for !m.rings[m.W][c].push(w) {
 			m.bell(c)
-			if r.aborted() {
+			if r.over.Load() {
 				return
 			}
 			runtime.Gosched()
@@ -611,27 +541,14 @@ func (e *Engine) Run(ctx context.Context, queries []walk.Query, fn EmitFunc) (Ru
 		return RunStats{}, err
 	}
 	m := e.getMesh()
-	r := &run{
-		eng:     e,
-		m:       m,
-		fn:      fn,
-		doneCh:  make(chan struct{}),
-		abortCh: make(chan struct{}),
-	}
-	r.remaining.Store(int64(len(queries)))
-	m.acquire(r)
+	r := m.acquire(fn, len(queries))
 	for wi := 0; wi < m.W; wi++ {
 		r.wg.Add(1)
-		if e.cfg.Cohort > 0 {
-			go r.workerCohort(wi)
-		} else {
-			go r.workerDF(wi)
-		}
+		go r.worker(wi)
 	}
 	r.inject(ctx, queries)
 	select {
-	case <-r.doneCh:
-	case <-r.abortCh:
+	case <-m.finished:
 	case <-ctx.Done():
 		r.fail(ctx.Err())
 	}

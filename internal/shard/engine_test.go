@@ -73,8 +73,8 @@ func TestEngineMatchesGoldenEngine(t *testing.T) {
 	for _, k := range []int{1, 3, 7} {
 		for _, ecfg := range []EngineConfig{
 			{},
-			{Workers: 1, MigrateBatch: 1, MaxInflight: 2},
-			{Workers: 16, MigrateBatch: 8, MaxInflight: 64},
+			{Workers: 1, MaxInflight: 2},
+			{Workers: 16, MaxInflight: 64},
 		} {
 			p, err := Partition(g, k)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestEngineBatchedHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 2, MigrateBatch: 64})
+	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestEngineTinyInflightLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 8, MigrateBatch: 4, MaxInflight: 1})
+	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 8, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,8 @@ func TestEngineCohortStepping(t *testing.T) {
 			for _, k := range []int{1, 3, 7} {
 				for _, ecfg := range []EngineConfig{
 					{Cohort: 1},
-					{Cohort: 8, Workers: 1, MigrateBatch: 1, MaxInflight: 2},
-					{Cohort: 64, Workers: 16, MigrateBatch: 8, MaxInflight: 64},
+					{Cohort: 8, Workers: 1, MaxInflight: 2},
+					{Cohort: 64, Workers: 16, MaxInflight: 64},
 				} {
 					p, err := Partition(g, k)
 					if err != nil {

@@ -3,7 +3,10 @@
 // goroutine pool that advances only walkers standing on its own vertices,
 // and walkers migrate between shards through fixed-capacity SPSC rings —
 // one flat record copy per hand-off, no boxing, no allocation — when a
-// hop crosses a partition boundary.
+// hop crosses a partition boundary. Every worker runs one loop: a
+// walk.Cohort stepping its resident walkers through the batched
+// Gather/Sample/Move stages, so row fetches overlap across walkers
+// (EngineConfig.Cohort sets the width).
 //
 // This is the software analogue of RidgeWalker's per-channel task routing:
 // the accelerator keeps many walkers in flight by pinning each memory

@@ -5,7 +5,6 @@ import (
 
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
-	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/walk"
 )
 
@@ -29,7 +28,7 @@ type walkerRec struct {
 // the atomic store/load pair orders the record copy against the position
 // publish, which is all the synchronization a SPSC hand-off needs. A
 // full ring reports failure instead of blocking: migration backpressure
-// is handled losslessly by the caller (see run.eject / run.advanceRec).
+// is handled losslessly by the caller (see run.ejectLane).
 type spscRing struct {
 	buf  []walkerRec
 	mask uint64
@@ -87,22 +86,19 @@ type workerState struct {
 	// dirty[c] marks consumers this worker pushed to since its last
 	// doorbell flush.
 	dirty []bool
-	// rec is the depth-first worker's walker scratch slot.
-	rec walkerRec
 
 	// rr rotates this producer's hand-offs across the destination
 	// shard's workers (see mesh.route).
 	rr uint32
+	// parked is set while the worker waits on its doorbell; producers
+	// ring only parked consumers (see run.flushBells).
+	parked atomic.Bool
+	// passes counts the worker's busy loop iterations (see bellEvery).
+	passes uint32
 
-	// tv/mem are the depth-first worker's tiered-store view and row
-	// scratch (nil/zero when the engine is untiered); cohort mode routes
-	// tiering through the cohort's own lanes instead.
-	tv  *graph.TierView
-	mem sampling.RowView
-
-	// Cohort-mode state (nil/empty in depth-first mode): lane-backed
-	// records, the free-lane stack, per-lane destination shards computed
-	// by the depart callback, and the per-pass stalled-ejection list.
+	// The worker's cohort and its lane-backed records, the free-lane
+	// stack, per-lane destination shards computed by the depart
+	// callback, and the per-pass stalled-ejection list.
 	cohort    *walk.Cohort
 	recs      []walkerRec
 	freeLanes []int32
@@ -138,6 +134,8 @@ type mesh struct {
 	bells []chan struct{}
 	// injBell wakes the injector when a finished record is returned.
 	injBell chan struct{}
+	// finished wakes Run once the current run is over (run.end).
+	finished chan struct{}
 	// injDirty marks consumers the injector pushed to since its flush.
 	injDirty []bool
 	// injRec is the injector's scratch slot for recycled records.
@@ -149,9 +147,10 @@ type mesh struct {
 	pool    []walkerRec
 	workers []*workerState
 
-	// run is the engine run currently driving this mesh; set by acquire,
-	// read by the worker callbacks.
-	run *run
+	// state is the reusable run record; run points at it while a Run
+	// drives this mesh (set by acquire, read by the worker callbacks).
+	state run
+	run   *run
 }
 
 // route returns the consumer worker index a producer uses to reach
@@ -188,6 +187,7 @@ func newMesh(e *Engine) *mesh {
 		free:     make([]*spscRing, W),
 		bells:    make([]chan struct{}, W),
 		injBell:  make(chan struct{}, 1),
+		finished: make(chan struct{}, 1),
 		injDirty: make([]bool, W),
 		pool:     make([]walkerRec, cfg.MaxInflight),
 		workers:  make([]*workerState, W),
@@ -216,42 +216,26 @@ func newMesh(e *Engine) *mesh {
 			shardID: c / perShard,
 			dirty:   make([]bool, W),
 		}
-		if cfg.Tiered != nil && cfg.Cohort == 0 {
-			ws.tv = graph.NewTierView(cfg.Tiered)
-			// Narrow the view to what this workload's sampler reads (the
-			// engine validated e.wcfg, so TierAccess cannot fail here).
-			if needRow, needW, err := walk.TierAccess(e.g, e.wcfg); err == nil {
-				ws.tv.SetAccess(needRow, needW)
-			}
+		// NewEngine validated the cohort size and sampler stagedness.
+		cohort, err := walk.NewCohort(e.g, e.wcfg, e.sampler, cfg.Cohort)
+		if err != nil {
+			panic("shard: mesh cohort: " + err.Error())
 		}
-		if cfg.Snapshot != nil && cfg.Cohort == 0 {
-			// Depth-first workers consult the epoch overlay through their
-			// staged row view (AdvanceView checks mem.Snap before the base
-			// row); cohort workers get it via SetSnapshot below.
-			ws.mem.Snap = cfg.Snapshot
+		if cfg.Layout != nil {
+			cohort.SetLayout(cfg.Layout)
 		}
-		if cfg.Cohort > 0 {
-			// NewEngine validated the cohort size and sampler stagedness.
-			cohort, err := walk.NewCohort(e.g, e.wcfg, e.sampler, cfg.Cohort)
-			if err != nil {
-				panic("shard: mesh cohort: " + err.Error())
-			}
-			if cfg.Layout != nil {
-				cohort.SetLayout(cfg.Layout)
-			}
-			if cfg.Tiered != nil {
-				cohort.SetTiered(cfg.Tiered)
-			}
-			if cfg.Snapshot != nil {
-				cohort.SetSnapshot(cfg.Snapshot)
-			}
-			ws.cohort = cohort
-			ws.recs = make([]walkerRec, cfg.Cohort)
-			ws.freeLanes = make([]int32, 0, cfg.Cohort)
-			ws.dst = make([]int32, cfg.Cohort)
-			ws.stalled = make([]int32, 0, cfg.Cohort)
-			m.bindCohortCallbacks(c, ws)
+		if cfg.Tiered != nil {
+			cohort.SetTiered(cfg.Tiered)
 		}
+		if cfg.Snapshot != nil {
+			cohort.SetSnapshot(cfg.Snapshot)
+		}
+		ws.cohort = cohort
+		ws.recs = make([]walkerRec, cfg.Cohort)
+		ws.freeLanes = make([]int32, 0, cfg.Cohort)
+		ws.dst = make([]int32, cfg.Cohort)
+		ws.stalled = make([]int32, 0, cfg.Cohort)
+		m.bindCohortCallbacks(c, ws)
 		m.workers[c] = ws
 	}
 	return m
@@ -283,10 +267,13 @@ func (m *mesh) bindCohortCallbacks(c int, ws *workerState) {
 	}
 }
 
-// acquire readies the mesh for a run: empty rings, drained doorbells,
-// cleared cohorts and scratch. Cheap relative to a run; performs no
-// allocation.
-func (m *mesh) acquire(r *run) {
+// acquire readies the mesh for a run of n queries delivered through fn:
+// a reset run record, empty rings, drained doorbells, cleared cohorts
+// and scratch. Cheap relative to a run; performs no allocation.
+func (m *mesh) acquire(fn EmitFunc, n int) *run {
+	m.state = run{eng: m.eng, m: m, fn: fn}
+	r := &m.state
+	r.remaining.Store(int64(n))
 	m.run = r
 	for _, row := range m.rings {
 		for _, ring := range row {
@@ -297,33 +284,47 @@ func (m *mesh) acquire(r *run) {
 		ring.reset()
 	}
 	for _, bell := range m.bells {
-		select {
-		case <-bell:
-		default:
-		}
+		drain(bell)
 	}
-	select {
-	case <-m.injBell:
-	default:
-	}
+	drain(m.injBell)
+	drain(m.finished)
 	for i := range m.injDirty {
 		m.injDirty[i] = false
 	}
 	m.injRR = 0
 	for _, ws := range m.workers {
 		ws.rr = 0
+		ws.parked.Store(false)
 		for i := range ws.dirty {
 			ws.dirty[i] = false
 		}
-		if ws.cohort != nil {
-			ws.cohort.Reset()
-			ws.freeLanes = ws.freeLanes[:0]
-			for lane := len(ws.recs) - 1; lane >= 0; lane-- {
-				ws.freeLanes = append(ws.freeLanes, int32(lane))
-			}
-			ws.stalled = ws.stalled[:0]
+		ws.cohort.Reset()
+		ws.freeLanes = ws.freeLanes[:0]
+		for lane := len(ws.recs) - 1; lane >= 0; lane-- {
+			ws.freeLanes = append(ws.freeLanes, int32(lane))
+		}
+		ws.stalled = ws.stalled[:0]
+	}
+	return r
+}
+
+// drain discards a pending wake-up token.
+func drain(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+	}
+}
+
+// inbound reports whether any ring into consumer c holds a record.
+// Consumer-side only.
+func (m *mesh) inbound(c int) bool {
+	for p := range m.rings {
+		if r := m.rings[p][c]; r.head.Load() != r.tail.Load() {
+			return true
 		}
 	}
+	return false
 }
 
 // bell wakes consumer c if it is parked (no-op when already signaled).

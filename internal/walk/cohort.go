@@ -8,6 +8,11 @@ import (
 	"ridgewalker/internal/sampling"
 )
 
+// DefaultCohort is the cohort width the CPU engines run when none is
+// configured: big enough that a cohort's row fetches cover memory
+// latency, small enough that the per-lane state stays cache-resident.
+const DefaultCohort = 64
+
 // Lane phases: where a walker stands in the step pipeline between passes.
 const (
 	// phaseGather: the walker needs its current vertex's row bounds before

@@ -386,10 +386,11 @@ func RunParallel(g *graph.CSR, queries []Query, cfg Config, workers int) (*Resul
 
 // State is the resumable per-walk state: everything a single query's walk
 // needs besides the graph, sampler, configuration, and RNG stream. Engines
-// that interleave or migrate in-flight walks (the sharded engine) carry a
-// State per walker and advance it hop by hop with Advance; the batch
-// engines here drive the same primitive in a tight loop, so every engine
-// takes byte-identical trajectories for the same RNG stream.
+// that interleave or migrate in-flight walks (the cohort pipeline, the
+// sharded engine) carry a State per walker and step it through a Cohort,
+// which draws exactly as Advance does; the batch engines here drive
+// Advance in a tight loop, so every engine takes byte-identical
+// trajectories for the same RNG stream.
 type State struct {
 	// Cur is the vertex the walk currently stands on (Path's last entry).
 	Cur graph.VertexID

@@ -10,8 +10,9 @@
 //     DeepWalk, Node2Vec and MetaPath with the paper's sampling algorithms
 //     (uniform, alias, rejection, reservoir — Table I), plus a sharded
 //     variant (WalkSharded, backend "cpu-sharded") that partitions the
-//     graph into edge-balanced shards with per-shard worker pools and
-//     batched walker migration across partition boundaries, and a
+//     graph into edge-balanced shards with per-shard pools of cohort
+//     workers and ring-based walker migration across partition
+//     boundaries, and a
 //     step-interleaved variant (WalkPipelined, backend "cpu-pipelined")
 //     that decomposes each hop into batched Gather/Sample/Move stages
 //     over cohorts of in-flight walkers so CSR row fetches overlap
@@ -253,8 +254,8 @@ func WalkParallel(g *Graph, queries []Query, cfg WalkConfig, workers int) (*Resu
 }
 
 // WalkSharded runs the partitioned software engine: the graph is split
-// into shards edge-balanced partitions, each owning a worker pool, and
-// walkers migrate between shards through batched mailbox hand-offs when a
+// into shards edge-balanced partitions, each owning a pool of cohort
+// workers, and walkers migrate between shards through SPSC rings when a
 // hop crosses a partition boundary. The result is byte-identical to Walk
 // for the same seed at any shard count. It is a thin wrapper over the
 // "cpu-sharded" execution backend; shards may be 0 for the backend's
@@ -440,14 +441,14 @@ func Backends() []string { return exec.Names() }
 // BackendByName returns a registered execution backend.
 func BackendByName(name string) (Backend, error) { return exec.Lookup(name) }
 
-// BackendSupportsMemoryTiering reports whether the named backend honors
-// the MemoryBudgetBytes knob (tiered graph + sampler stores).
-func BackendSupportsMemoryTiering(name string) bool { return exec.SupportsMemoryTiering(name) }
-
-// BackendSupportsVersionedGraphs reports whether the named backend can
-// serve a GraphSnapshot (BackendConfig.Snapshot). Backends without the
-// capability reject snapshots at open; compact the graph first.
-func BackendSupportsVersionedGraphs(name string) bool { return exec.SupportsVersionedGraphs(name) }
+// BackendIsCPUFamily reports whether the named backend is one of the
+// software engines whose walks depend only on (seed, query ID, start
+// vertex): cpu, cpu-pipelined, cpu-sharded, and auto. Only these honor
+// the MemoryBudgetBytes knob (tiered graph + sampler stores), serve a
+// GraphSnapshot (BackendConfig.Snapshot — other backends reject it at
+// open; compact the graph first), coalesce concurrent Service requests
+// into one batch, and feed the Service watchdog's heartbeat.
+func BackendIsCPUFamily(name string) bool { return exec.IsCPUFamily(name) }
 
 // OpenBackend binds a named execution backend to a graph, performing all
 // per-workload setup (sampler construction, simulator instantiation,

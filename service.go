@@ -37,17 +37,18 @@ type ServiceConfig struct {
 	// nothing per step. 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Shards sets the cpu-sharded backend's graph partition count (each
-	// shard owns a worker pool; walkers migrate on boundary crossings).
-	// The cpu-pipelined backend also honors it, composing the cohort
-	// pipeline with sharded execution. 0 means a backend-chosen default;
-	// other backends ignore it.
+	// shard owns a pool of cohort workers; walkers migrate on boundary
+	// crossings). The cpu-pipelined backend also honors it, opening the
+	// same sharded composition. 0 means a backend-chosen default; other
+	// backends ignore it.
 	Shards int
-	// Cohort sets the cpu-pipelined backend's in-flight walker count per
-	// worker (the width of the batched Gather/Sample/Move stages). 0 means
-	// the backend default; other backends ignore it.
+	// Cohort sets the cpu-pipelined and cpu-sharded backends' in-flight
+	// walker count per worker (the width of the batched
+	// Gather/Sample/Move stages). 0 means the backend default; other
+	// backends ignore it.
 	Cohort int
-	// HubCacheBytes, when positive, sizes the cpu-pipelined backend's
-	// degree-aware hub arena (the compact cache-resident copy of the
+	// HubCacheBytes, when positive, sizes the cohort backends'
+	// (cpu-pipelined, cpu-sharded) degree-aware hub arena (the compact cache-resident copy of the
 	// highest-degree rows served to the cohort Gather stage). 0 leaves it
 	// off; other backends ignore it.
 	HubCacheBytes int64
@@ -484,10 +485,6 @@ type request struct {
 	queries []Query
 	tenant  string
 	done    chan reply
-	// delivered guards against double delivery when a contained panic
-	// unwinds a group mid-distribution (only the group's single runner
-	// goroutine touches it).
-	delivered bool
 }
 
 type reply struct {
@@ -1081,10 +1078,6 @@ func (s *Service) flush(key string, grp *batchGroup) {
 // as a watchdog kill) or expired mid-flight (every submitter was gone),
 // which the controller counts separately from shedding at the gate.
 func (s *Service) deliver(grp *batchGroup, r *request, rep reply) {
-	if r.delivered {
-		return
-	}
-	r.delivered = true
 	if rep.err != nil {
 		switch {
 		case grp.stalled.Load():
@@ -1093,18 +1086,10 @@ func (s *Service) deliver(grp *batchGroup, r *request, rep reply) {
 			s.admit.Expire(grp.lane, r.tenant, len(r.queries))
 		}
 	}
-	r.done <- rep
+	// Release before replying: a caller returning from Submit must never
+	// still see its own slots in flight (an immediate retry would shed).
 	s.admit.Release(grp.lane, len(r.queries))
-}
-
-// failGroup delivers err to every request the group has not yet
-// answered. Used when a contained panic (or a pre-dispatch fault)
-// aborts the group partway: every submitter still gets a reply and
-// every admission slot is still released.
-func (s *Service) failGroup(grp *batchGroup, err error) {
-	for _, r := range grp.requests {
-		s.deliver(grp, r, reply{err: err})
-	}
+	r.done <- rep
 }
 
 // runGroup executes a flushed group on the cached session and distributes
@@ -1126,11 +1111,14 @@ func (s *Service) runGroup(key string, grp *batchGroup) {
 	if grp.planned {
 		backendName = grp.plan.Backend
 	}
-	if s.watchStop != nil && exec.SupportsHeartbeats(backendName) {
+	if s.watchStop != nil && exec.IsCPUFamily(backendName) {
 		s.watchRegister(key, backendName, grp)
 		defer s.watchUnregister(grp)
 	}
-	var runErr error
+	var (
+		reps   []reply
+		runErr error
+	)
 	cerr := fault.Contain("batch-group", func() error {
 		if err := fault.Check(fault.DispatchFlush); err != nil {
 			return err
@@ -1139,18 +1127,29 @@ func (s *Service) runGroup(key string, grp *batchGroup) {
 		e, err := s.acquireSession(key, grp)
 		if err != nil {
 			runErr = err
-			s.failGroup(grp, err)
 			return nil
 		}
 		defer s.releaseSession(e)
-		runErr = s.runGroupExec(grp, e.ses)
+		reps, runErr = s.runGroupExec(grp, e.ses)
 		return nil
 	})
 	if cerr != nil {
-		runErr = cerr
-		s.failGroup(grp, cerr)
+		reps, runErr = nil, cerr
 	}
+	// Account the outcome before any submitter hears of it, so a caller
+	// returning from Submit already sees the breaker, quarantine and
+	// fault counters its request moved. Every request gets exactly one
+	// reply: its own when the run produced one, the group's error when
+	// the group failed as a whole (a contained panic, a pre-dispatch
+	// fault, a failed merged run).
 	s.noteGroupOutcome(key, grp, runErr)
+	for i, r := range grp.requests {
+		if reps != nil {
+			s.deliver(grp, r, reps[i])
+		} else {
+			s.deliver(grp, r, reply{err: runErr})
+		}
+	}
 }
 
 // noteGroupOutcome folds one dispatched group's result into the fault
@@ -1188,21 +1187,21 @@ func (s *Service) noteGroupOutcome(key string, grp *batchGroup, runErr error) {
 	}
 }
 
-// runGroupExec runs the group's batch on ses and distributes per-request
-// results, returning the engine error (already delivered to the
-// affected requests) for outcome accounting.
-func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
+// runGroupExec runs the group's batch on ses and splits the outcome into
+// per-request replies (nil when a merged run failed as a whole),
+// returning the first engine error for outcome accounting.
+func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) ([]reply, error) {
 	backend := s.cfg.Backend
 	if grp.planned {
 		backend = grp.plan.Backend
 	}
-	// Backends declaring the BatchMerger capability (the cpu family, whose
-	// per-query RNG streams make walks independent of batch composition)
-	// merge requests into one backend dispatch. The rest — simulators
+	// CPU-family backends (exec.CPUFamily: per-query RNG streams make
+	// walks independent of batch composition) merge requests into one
+	// backend dispatch. The rest — simulators
 	// routing walks through shared pipelines, models requiring unique query
 	// IDs — run requests back-to-back instead, still amortizing the
 	// session's sampler and configuration.
-	merge := exec.MergesBatches(backend)
+	merge := exec.IsCPUFamily(backend)
 	ctx := grp.ctx
 	if merge {
 		all := make([]walk.Query, 0, grp.queries)
@@ -1216,8 +1215,7 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			if grp.stalled.Load() {
 				err = fmt.Errorf("%w: %v", ErrEngineStalled, err)
 			}
-			s.failGroup(grp, err)
-			return err
+			return nil, err
 		}
 		grp.setStage("deliver")
 		service := time.Since(start)
@@ -1225,16 +1223,17 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 		if grp.planned {
 			s.observePlan(grp.cfg, res.Steps, service)
 		}
+		reps := make([]reply, len(grp.requests))
 		lo := 0
 		var steps int64
-		for _, r := range grp.requests {
+		for i, r := range grp.requests {
 			hi := lo + len(r.queries)
 			sub := &Result{Paths: res.Paths[lo:hi:hi]}
 			for _, p := range sub.Paths {
 				sub.Steps += int64(len(p) - 1)
 			}
 			steps += sub.Steps
-			s.deliver(grp, r, reply{res: sub})
+			reps[i] = reply{res: sub}
 			lo = hi
 		}
 		s.record(backend, grp.cfg.Algorithm, grp.epoch, Counter{
@@ -1243,10 +1242,11 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			Steps:    steps,
 			Batches:  1,
 		})
-		return nil
+		return reps, nil
 	}
+	reps := make([]reply, len(grp.requests))
 	var firstErr error
-	for _, r := range grp.requests {
+	for i, r := range grp.requests {
 		grp.setStage("run")
 		start := time.Now()
 		res, err := ses.Run(ctx, exec.Batch{Queries: r.queries, Heartbeat: &grp.hb})
@@ -1257,12 +1257,12 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			s.deliver(grp, r, reply{err: err})
+			reps[i] = reply{err: err}
 			continue
 		}
 		grp.setStage("deliver")
 		s.admit.Observe(len(r.queries), time.Since(start))
-		s.deliver(grp, r, reply{res: &Result{Paths: res.Paths, Steps: res.Steps}})
+		reps[i] = reply{res: &Result{Paths: res.Paths, Steps: res.Steps}}
 		s.record(backend, grp.cfg.Algorithm, grp.epoch, Counter{
 			Requests: 1,
 			Queries:  int64(len(r.queries)),
@@ -1270,7 +1270,7 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			Batches:  1,
 		})
 	}
-	return firstErr
+	return reps, firstErr
 }
 
 // quarantineKey hashes one query's deterministic identity — the walk

@@ -593,3 +593,56 @@ func TestCompactGraphResetsAdmitEWMA(t *testing.T) {
 		t.Fatalf("post-compaction serving: %v", err)
 	}
 }
+
+// TestSlotsReleasedBeforeReturn pins the delivery order: a request's
+// admission slots are released before its reply is sent, so the moment
+// Submit or Stream returns — success or engine error — nothing of it is
+// still in flight and an immediate retry cannot be shed by its own
+// leftovers.
+func TestSlotsReleasedBeforeReturn(t *testing.T) {
+	defer fault.Reset()
+	g := faultTestGraph(t)
+	cfg := DefaultWalkConfig(URW)
+	cfg.WalkLength = 4
+	cfg.Seed = 41
+	qs, err := RandomQueries(g, cfg, 4, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(g, ServiceConfig{
+		Backend:             "cpu",
+		Workers:             1,
+		QuarantineThreshold: -1,
+		WatchdogInterval:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	check := func(path string, i int) {
+		t.Helper()
+		if got := svc.AdmissionStatus().InFlight; got != 0 {
+			t.Fatalf("%s %d: inflight=%d right after return, want 0", path, i, got)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := svc.Submit(ctx, cfg, qs); err != nil {
+			t.Fatal(err)
+		}
+		check("submit", i)
+	}
+	for i := 0; i < 200; i++ {
+		if err := svc.Stream(ctx, cfg, qs, func(WalkOutput) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		check("stream", i)
+	}
+	fault.Enable(fault.BatchExec, fault.Spec{Mode: fault.ModeError, Tag: "cpu"})
+	for i := 0; i < 200; i++ {
+		if _, err := svc.Submit(ctx, cfg, qs); !errors.Is(err, ErrEngineFault) {
+			t.Fatalf("faulted submit %d: error %v, want ErrEngineFault", i, err)
+		}
+		check("faulted submit", i)
+	}
+}
